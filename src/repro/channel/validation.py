@@ -14,7 +14,6 @@ from typing import Dict
 
 import numpy as np
 from scipy.special import j0
-from scipy.stats import kstest
 
 from repro.channel.fading import SpatialJakesFading, TemporalJakesFading
 from repro.channel.pathloss import FreeSpacePathLoss, LogDistancePathLoss
@@ -66,6 +65,10 @@ def check_rayleigh_envelope(seed: SeedLike = 0, n_samples: int = 20_000) -> Vali
 
 def check_rayleigh_distribution(seed: SeedLike = 1, n_samples: int = 8_000) -> ValidationReport:
     """Kolmogorov-Smirnov distance of the envelope against Rayleigh."""
+    # Imported here: ``scipy.stats`` is slow to import and nothing else
+    # on the pipeline's import path needs it.
+    from scipy.stats import kstest
+
     fading = SpatialJakesFading(wavelength_m=0.6912, n_paths=128, seed=seed)
     displacements = np.arange(n_samples) * 4.7
     envelope = np.abs(fading.complex_gain(displacements))

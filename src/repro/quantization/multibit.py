@@ -11,6 +11,7 @@ model (Sec. IV-B).
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import ndtri
 
 from repro.quantization.base import QuantizationResult, Quantizer
 from repro.utils.bits import gray_code_table
@@ -47,6 +48,11 @@ class MultiBitQuantizer(Quantizer):
         self.guard_band_fraction = float(guard_band_fraction)
         self.fixed_thresholds = bool(fixed_thresholds)
         self._codebook = gray_code_table(self.bits_per_sample)
+        self._probabilities = np.arange(1, self.n_levels) / self.n_levels
+        # Standard normal quantiles of the bin edges, computed once:
+        # ``ndtri`` is the kernel behind ``scipy.stats.norm.ppf`` (same
+        # bytes) without importing ``scipy.stats`` onto the serve path.
+        self._normal_boundaries = ndtri(self._probabilities)
 
     @property
     def n_levels(self) -> int:
@@ -61,17 +67,15 @@ class MultiBitQuantizer(Quantizer):
             f"window of {window.size} samples is too small for "
             f"{self.n_levels} quantile bins",
         )
-        probabilities = np.arange(1, self.n_levels) / self.n_levels
         if self.fixed_thresholds:
-            from scipy.stats import norm
-
             std = window.std()
             normalized = (window - window.mean()) / (std if std > 0 else 1.0)
-            boundaries = norm.ppf(probabilities)
-            levels = np.searchsorted(boundaries, normalized, side="right")
+            levels = np.searchsorted(
+                self._normal_boundaries, normalized, side="right"
+            )
         else:
             # Empirical quantile boundaries (internal only).
-            boundaries = np.quantile(window, probabilities)
+            boundaries = np.quantile(window, self._probabilities)
             levels = np.searchsorted(boundaries, window, side="right")
 
         kept = np.ones(window.size, dtype=bool)
@@ -82,7 +86,7 @@ class MultiBitQuantizer(Quantizer):
             cdf = np.empty(window.size)
             cdf[order] = (np.arange(window.size) + 0.5) / window.size
             guard = self.guard_band_fraction / self.n_levels
-            for boundary_cdf in (np.arange(1, self.n_levels) / self.n_levels):
+            for boundary_cdf in self._probabilities:
                 kept &= np.abs(cdf - boundary_cdf) > guard
         bits = self._codebook[levels[kept]].reshape(-1)
         return QuantizationResult(

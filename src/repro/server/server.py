@@ -93,8 +93,10 @@ class ServerConfig:
             aborts the session with ``idle-timeout``.
         session_deadline_s: End-to-end budget per session before the
             reaper aborts it with ``deadline-exceeded``.
-        tick_interval_s: Coalescing window: how long a tick waits for
-            more ready sessions after the first arrival.
+        tick_interval_s: Opt-in hold before a tick fires, letting more
+            ready sessions join it.  The default 0 is work-conserving: a
+            tick fires as soon as a session is ready and takes everything
+            queued; arrivals during a tick form the next one.
         max_batch: Most sessions one tick may coalesce.
         shards: Fork workers each batch tick splits its sessions across
             (1 = in-process).  Outcomes are bit-identical for any value
@@ -141,7 +143,7 @@ class ServerConfig:
     hello_timeout_s: float = 5.0
     idle_timeout_s: float = 30.0
     session_deadline_s: float = 120.0
-    tick_interval_s: float = 0.05
+    tick_interval_s: float = 0.0
     max_batch: int = 32
     shards: int = 1
     queue_limit: int = 64
@@ -1356,7 +1358,14 @@ class KeyEstablishmentServer:
                     )
 
     async def _tick_loop(self) -> None:
-        """Coalesce ready sessions and run them through batch ticks."""
+        """Run ready sessions through work-conserving batch ticks.
+
+        Like group commit: the first ready session fires a tick at once
+        with every session already queued (up to ``max_batch``), and
+        sessions that arrive while it computes queue up to form the next
+        batch.  Batch size follows queue depth with no timer; a positive
+        ``tick_interval_s`` adds an opt-in hold before each tick.
+        """
         while True:
             if self._stopping and (self._pending is None or self._pending.empty()):
                 return
@@ -1364,8 +1373,8 @@ class KeyEstablishmentServer:
                 first = await asyncio.wait_for(self._pending.get(), timeout=0.1)
             except asyncio.TimeoutError:
                 continue
-            # Coalescing window: let concurrent arrivals join this tick.
-            await asyncio.sleep(self.config.tick_interval_s)
+            if self.config.tick_interval_s > 0:
+                await asyncio.sleep(self.config.tick_interval_s)
             batch = [first]
             while len(batch) < self.config.max_batch:
                 try:

@@ -103,6 +103,32 @@ class TestMultiBit:
             MultiBitQuantizer(bits_per_sample=0)
 
 
+class TestFixedThresholdBoundaries:
+    """The cached normal-quantile boundaries are ``norm.ppf``'s bytes."""
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_boundaries_match_norm_ppf_bytes(self, bits):
+        from scipy.stats import norm
+
+        expected = norm.ppf(np.arange(1, 2**bits) / 2**bits)
+        quantizer = MultiBitQuantizer(bits_per_sample=bits, fixed_thresholds=True)
+        assert quantizer._normal_boundaries.dtype == expected.dtype
+        assert quantizer._normal_boundaries.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 8])
+    def test_quantize_matches_per_call_ppf_reference(self, bits):
+        from scipy.stats import norm
+
+        quantizer = MultiBitQuantizer(bits_per_sample=bits, fixed_thresholds=True)
+        boundaries = norm.ppf(np.arange(1, 2**bits) / 2**bits)
+        for seed in range(5):
+            window = np.random.default_rng(seed).normal(size=2**bits + 61)
+            normalized = (window - window.mean()) / window.std()
+            levels = np.searchsorted(boundaries, normalized, side="right")
+            expected = quantizer._codebook[levels].reshape(-1)
+            np.testing.assert_array_equal(quantizer.quantize(window).bits, expected)
+
+
 class TestGuardBand:
     def test_alpha_zero_keeps_everything(self):
         result = GuardBandQuantizer(alpha=0.0).quantize(RNG.normal(size=100))

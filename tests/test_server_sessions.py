@@ -13,6 +13,7 @@ No pytest-asyncio in the environment: every test wraps its scenario in
 """
 
 import asyncio
+import sys
 
 import pytest
 
@@ -136,6 +137,69 @@ class TestHonestPath:
         assert health["type"] == "health"
         assert health["active_sessions"] >= 1
         assert health["metrics"]["accepted"] >= 1
+
+
+class TestWorkConservingTicks:
+    """Default ticks fire on readiness and batch by queue depth, no timer."""
+
+    @staticmethod
+    async def burst(endpoint, n_clients, tag):
+        return await asyncio.gather(
+            *(
+                run_behavior(
+                    endpoint,
+                    "normal",
+                    f"dev-{i}",
+                    episode=f"srv-{tag}-{i}",
+                    rounds=ROUNDS,
+                )
+                for i in range(n_clients)
+            )
+        )
+
+    def test_burst_coalesces_without_a_window(self, tiny_pipeline):
+        async def scenario(server, endpoint):
+            return await self.burst(endpoint, 16, "wc-burst")
+
+        outcomes, server = run_scenario(tiny_pipeline, ServerConfig(), scenario)
+        assert server.config.tick_interval_s == 0
+        assert all(outcome.kind == "result" for outcome in outcomes)
+        assert server.metrics.completed == 16
+        # Arrivals during a running tick queue up behind it and share the
+        # next one, so batching survives without the coalescing window.
+        assert server.metrics.ticks <= 4
+        assert server.metrics.tick_sessions_max >= 2
+
+    @staticmethod
+    def tick_loop_sleeps(pipeline, config, monkeypatch):
+        """Delays of every ``asyncio.sleep`` the tick loop awaits."""
+        real_sleep = asyncio.sleep
+        delays = []
+
+        async def spy(delay, *args, **kwargs):
+            if sys._getframe(1).f_code.co_name == "_tick_loop":
+                delays.append(delay)
+            return await real_sleep(delay, *args, **kwargs)
+
+        monkeypatch.setattr(asyncio, "sleep", spy)
+
+        async def scenario(server, endpoint):
+            return await TestWorkConservingTicks.burst(endpoint, 3, "wc-sleep")
+
+        outcomes, server = run_scenario(pipeline, config, scenario)
+        assert all(outcome.kind == "result" for outcome in outcomes)
+        assert server.metrics.ticks >= 1
+        return delays
+
+    def test_default_tick_loop_never_sleeps(self, tiny_pipeline, monkeypatch):
+        delays = self.tick_loop_sleeps(tiny_pipeline, ServerConfig(), monkeypatch)
+        assert [d for d in delays if d > 0] == []
+
+    def test_positive_interval_is_an_opt_in_hold(self, tiny_pipeline, monkeypatch):
+        delays = self.tick_loop_sleeps(
+            tiny_pipeline, ServerConfig(tick_interval_s=0.02), monkeypatch
+        )
+        assert delays and set(delays) == {0.02}
 
 
 class TestBackpressure:
